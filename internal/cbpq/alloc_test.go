@@ -7,8 +7,10 @@
 package cbpq
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/xrand"
 )
 
@@ -106,5 +108,56 @@ func TestSteadyStateDecrementalAllocs(t *testing.T) {
 	}
 	if st := s.Stats(); st.Eliminations == 0 {
 		t.Fatalf("decremental workload recorded zero elimination hits (stats: %+v) — the exchange fast path is dead", st)
+	}
+}
+
+// wideBytesPerItem holds a single-worker queue at resident items while
+// it takes hub-sized PushN batches of uniform keys, each followed by a
+// PopN drain of the same count, and returns the bytes allocated per
+// pushed item. TotalAlloc is exact and the run is seeded and
+// single-threaded, so the figure is deterministic.
+func wideBytesPerItem(resident int) float64 {
+	const batch, rounds = 4096, 16
+	q := New[int](Config{Workers: 1})
+	w := q.Worker(0)
+	rng := xrand.New(42)
+	ps := make([]uint64, batch)
+	vs := make([]int, batch)
+	fill := func() {
+		for i := range ps {
+			ps[i] = uint64(rng.Intn(1 << 30))
+		}
+	}
+	for n := 0; n < resident; n += batch {
+		fill()
+		w.PushN(ps, vs)
+	}
+	dst := make([]sched.Task[int], batch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		fill()
+		w.PushN(ps, vs)
+		for got := 0; got < batch; {
+			got += w.PopN(dst[got:])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (rounds * batch)
+}
+
+// TestSteadyStateWideAllocs pins the segmented spine's depth scaling: a
+// split or rebuild copies one segment plus the top-level arrays, so the
+// bytes a push costs must barely grow with the resident set. A flat
+// spine copied on every change grew about 7x from 32k to 512k resident
+// items (248 -> 1784 B/item); the segmented spine measures 153 -> 160.
+func TestSteadyStateWideAllocs(t *testing.T) {
+	small, large := wideBytesPerItem(1<<15), wideBytesPerItem(1<<19)
+	t.Logf("bytes per pushed item: %.0f at 32k resident, %.0f at 512k", small, large)
+	if large > 1.5*small {
+		t.Fatalf("bytes per pushed item grow with depth: %.0f at 512k resident vs %.0f at 32k, want <= 1.5x (spine copies regressed to O(depth))", large, small)
+	}
+	if large > 256 {
+		t.Fatalf("bytes per pushed item at 512k resident = %.0f, want <= 256", large)
 	}
 }

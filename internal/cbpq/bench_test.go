@@ -101,3 +101,39 @@ func BenchmarkCBPQ_Hold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCBPQ_WideBatch is the deep-spine facet (SSSP hub expansions
+// on power-law graphs): a hub-sized PushN of uniform keys into a queue
+// holding 256k items — thousands of interior chunks — then a PopN drain
+// of the same count. Splits and rebuilds copy one spine segment plus
+// the top-level arrays, so the per-op cost must not grow with depth.
+// Reports ns and bytes per batch pair.
+func BenchmarkCBPQ_WideBatch(b *testing.B) {
+	const hub, resident = 4096, 1 << 18
+	q := New[int](Config{Workers: 1})
+	w := q.Worker(0)
+	rng := xrand.New(1)
+	ps := make([]uint64, hub)
+	vs := make([]int, hub)
+	fill := func() {
+		for i := range ps {
+			ps[i], vs[i] = uint64(rng.Intn(1<<30)), i
+		}
+	}
+	for n := 0; n < resident; n += hub {
+		fill()
+		w.PushN(ps, vs)
+	}
+	dst := make([]sched.Task[int], hub)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fill()
+		b.StartTimer()
+		w.PushN(ps, vs)
+		for got := 0; got < hub; {
+			got += w.PopN(dst[got:])
+		}
+	}
+}

@@ -21,7 +21,8 @@
 // All shared state hangs off a single atomic root pointer to an
 // immutable spine, plus a per-queue exchange array:
 //
-//		spine{ head, buf, live[] }
+//		spine{ head, buf, tops[], segs[] }
+//		segs[i] = segment{ live[], mins[] }   // 1..2·F chunks each
 //
 //	  - head is the sorted first chunk. Its idx word packs three fields:
 //	    a freeze bit (bit 63), an exchange publish counter, and the pop
@@ -34,10 +35,17 @@
 //	    clean claim cut, and because every claim is a CAS that fails
 //	    against a frozen word, the word is immutable after the freeze
 //	    and all helpers read the same cut from it directly.
-//	  - live[] are the interior chunks, ascending by their range lower
-//	    bound min; an insert with priority p targets the last chunk with
-//	    min <= p and CAS-bumps its count word, then release-publishes the
-//	    slot's ready flag.
+//	  - the interior chunks, ascending by their range lower bound min,
+//	    are split into immutable segments of at most 2·F chunks
+//	    (F = segFanout) with their flat mins arrays; tops[i] is the
+//	    first min of segs[i]. An insert with priority p binary-searches
+//	    tops, then the segment's mins, for the last chunk with
+//	    min <= p, CAS-bumps its count word, then release-publishes the
+//	    slot's ready flag. Spines are path-copied: a split or rebuild
+//	    copies only the segment it changes (halving it past 2·F) plus
+//	    the top-level arrays and shares every other segment with the
+//	    old spine, so a change of an L-chunk spine costs O(F + L/F)
+//	    copies, not O(L).
 //	  - the exchange array (exg) absorbs below-head inserts: a Push
 //	    whose priority falls inside the head's own range parks its
 //	    entry in a free slot and linearizes it by bumping the publish
@@ -110,10 +118,12 @@
 // recycle their never-published candidate chunks into a per-worker
 // freelist (published chunks are never pooled, so the root CAS cannot
 // ABA) and retry against the new spine. A full interior chunk splits
-// into two halves around its median; a rebuild replaces the head with
-// one freshly sorted from its frozen survivors plus the frozen buf and
-// the settled exchange entries, pulling in whole interior chunks until
-// the new head is full. Any thread can help: after a complete freeze
+// into two halves around its median, in a copy of its segment; a
+// rebuild replaces the head with one freshly sorted from its frozen
+// survivors plus the frozen buf and the settled exchange entries,
+// pulling in whole interior chunks from the front segments until the
+// new head is full, and its spill chunks join what is left of the
+// front segment. Any thread can help: after a complete freeze
 // the frozen membership is identical for all helpers, so all
 // candidates are equivalent and whichever CAS wins is correct. Only
 // the winner resets the merged exchange slots; until it does they are
@@ -143,9 +153,11 @@
 // — which a reader spins out with Gosched (bounded by the publishing
 // thread being scheduled across a few instructions, as in the original
 // CBPQ's frozenness wait). Steady-state allocation is amortized
-// O(1/ChunkCap) chunks per operation; on the decremental-key workload
-// the exchange absorbs push/pop pairs for one small immutable entry
-// allocation each (boxing is what makes concurrent readers of a
+// O(1/ChunkCap) chunks per operation, each structural change adding
+// one O(F + L/F) spine path copy, so the bytes per push stay flat as
+// the queue deepens (see the wide alloc gate); on the decremental-key
+// workload the exchange absorbs push/pop pairs for one small immutable
+// entry allocation each (boxing is what makes concurrent readers of a
 // recycling slot race-free) instead of a full rebuild. Rebuilds
 // allocate a handful of chunks per ChunkCap pops, CAS losers recycle
 // through the per-worker freelist, and popped or recycled slots are
@@ -336,31 +348,73 @@ type exgSlot[T any] struct {
 	_  [contend.CacheLineSize - 8]byte
 }
 
-// spine is the immutable root snapshot: the sorted head, the head-range
-// insertion buffer, and the interior chunks ascending by min. Every
-// structural change installs a fresh spine with one CAS. mins mirrors
-// live[i].min in a flat pointer-free array so the per-push binary
-// search probes one cache-resident uint64 run instead of chasing a
-// chunk pointer per probe.
-type spine[T any] struct {
-	head *chunk[T]
-	buf  *chunk[T]
+// segFanout is F in the spine's segment bound: a segment holds at most
+// 2·F interior chunks, and one that outgrows the bound is halved. A
+// structural change copies one segment plus the O(L/F) top-level arrays
+// of an L-chunk spine; F near sqrt(L) balances the two terms, and 64
+// suits spines of a few thousand chunks (SSSP on power-law graphs)
+// while a shallow spine stays a single segment.
+const segFanout = 64
+
+// segment is an immutable run of interior chunks ascending by min.
+// mins mirrors live[i].min in a flat pointer-free array so the per-push
+// binary search probes one cache-resident uint64 run instead of chasing
+// a chunk pointer per probe. Published segments are never written
+// again; spines share them.
+type segment[T any] struct {
 	live []*chunk[T]
 	mins []uint64
 }
 
-// targetIdx returns the index in live of the chunk owning priority p
-// (the last chunk with min <= p), or -1 when p belongs to the head
-// range and must go through the exchange or buf.
-func (s *spine[T]) targetIdx(p uint64) int {
-	mins := s.mins
-	if len(mins) == 0 || p < mins[0] {
-		return -1
+// spine is the immutable root snapshot: the sorted head, the head-range
+// insertion buffer, and the interior chunks split into segments of at
+// most 2·F chunks, ascending by min across the whole array. tops[i] is
+// segs[i].mins[0], the flat first level of the push search. Every
+// structural change installs a fresh spine with one CAS, built by path
+// copying: the changed segment and the top-level arrays are new, every
+// other segment is shared with the old spine, so a change costs
+// O(F + L/F) copies instead of O(L). one/oneTop back segs/tops when the
+// spine has a single segment, the shallow case, so shallow changes
+// allocate no top-level arrays.
+type spine[T any] struct {
+	head   *chunk[T]
+	buf    *chunk[T]
+	segs   []*segment[T]
+	tops   []uint64
+	one    [1]*segment[T]
+	oneTop [1]uint64
+}
+
+// target locates the chunk owning priority p (the last chunk with
+// min <= p) as segment si and index k within it, or si = -1 when p
+// belongs to the head range and must go through the exchange or buf.
+func (s *spine[T]) target(p uint64) (si, k int) {
+	if len(s.tops) == 0 || p < s.tops[0] {
+		return -1, -1
 	}
-	lo, hi := 0, len(mins)
+	si = lastAtMost(s.tops, p)
+	return si, lastAtMost(s.segs[si].mins, p)
+}
+
+// nextMin returns the min of the chunk after (si, k), the exclusive
+// upper end of that chunk's range, or ^0 for the last chunk.
+func (s *spine[T]) nextMin(si, k int) uint64 {
+	if mins := s.segs[si].mins; k+1 < len(mins) {
+		return mins[k+1]
+	}
+	if si+1 < len(s.tops) {
+		return s.tops[si+1]
+	}
+	return ^uint64(0)
+}
+
+// lastAtMost returns the index of the last element <= p of the
+// ascending xs, which must satisfy xs[0] <= p.
+func lastAtMost(xs []uint64, p uint64) int {
+	lo, hi := 0, len(xs)
 	for lo+1 < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if mins[mid] <= p {
+		if xs[mid] <= p {
 			lo = mid
 		} else {
 			hi = mid
@@ -408,6 +462,10 @@ type worker[T any] struct {
 	merge    []pq.Item[T]
 	merge2   []pq.Item[T]
 	exgTaken []*exgSlot[T]
+	// segs and tops are the top-level scratch a split or rebuild
+	// assembles its candidate spine in (see newSpine).
+	segs []*segment[T]
+	tops []uint64
 
 	// built tracks the candidate chunks of the current structural
 	// attempt; free pools recycled CAS losers (interior/buf chunks) and
@@ -476,12 +534,11 @@ func (w *worker[T]) push1(p uint64, v T) {
 	q := w.q
 	for {
 		s := q.root.Load()
-		if k := s.targetIdx(p); k >= 0 {
-			c := s.live[k]
-			if c.tryAppend(w, p, v) {
+		if si, k := s.target(p); si >= 0 {
+			if s.segs[si].live[k].tryAppend(w, p, v) {
 				return
 			}
-			q.split(w, s, k)
+			q.split(w, s, si, k)
 			continue
 		}
 		if w.exgPublish(s.head, p, v) {
@@ -726,7 +783,7 @@ func (w *worker[T]) Pop() (uint64, T, bool) {
 		// the root), and re-reading the packed word unchanged proves no
 		// exchange publish landed anywhere in the window. That second
 		// read is the linearization point.
-		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.live) == 0 && h.idx.Load() == hw {
+		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.segs) == 0 && h.idx.Load() == hw {
 			w.c.EmptyPops++
 			return 0, zero, false
 		}
@@ -758,12 +815,9 @@ func (w *worker[T]) PushN(ps []uint64, vs []T) {
 	for i < len(batch) {
 		s := q.root.Load()
 		p := batch[i].P
-		if k := s.targetIdx(p); k >= 0 {
-			c := s.live[k]
-			hi := uint64(1<<64 - 1)
-			if k+1 < len(s.live) {
-				hi = s.live[k+1].min
-			}
+		if si, k := s.target(p); si >= 0 {
+			c := s.segs[si].live[k]
+			hi := s.nextMin(si, k)
 			j := i + 1
 			for j < len(batch) && batch[j].P < hi {
 				j++
@@ -772,12 +826,12 @@ func (w *worker[T]) PushN(ps []uint64, vs []T) {
 				i += n
 				continue
 			}
-			q.split(w, s, k)
+			q.split(w, s, si, k)
 			continue
 		}
 		hi := uint64(1<<64 - 1)
-		if len(s.live) > 0 {
-			hi = s.live[0].min
+		if len(s.tops) > 0 {
+			hi = s.tops[0]
 		}
 		j := i + 1
 		for j < len(batch) && batch[j].P < hi {
@@ -869,7 +923,7 @@ func (w *worker[T]) PopN(dst []sched.Task[T]) int {
 			continue
 		}
 		// Same consistent-snapshot emptiness argument as Pop.
-		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.live) == 0 && h.idx.Load() == hw {
+		if v >= uint64(h.n) && s.buf.ctl.Load() == 0 && len(s.segs) == 0 && h.idx.Load() == hw {
 			break
 		}
 		q.rebuild(w, s)
@@ -1057,12 +1111,16 @@ func (q *Queue[T]) rebuild(w *worker[T], s *spine[T]) {
 	// counts, so concurrent helpers still build equivalent candidates.
 	cap_ := q.cfg.ChunkCap
 	hcap := q.headCap
-	live := s.live
 	pullTo := max(hcap-cap_, min(hcap, cap_))
-	for len(m) < pullTo && len(live) > 0 {
-		ln := freezeLive(live[0])
-		m = append(m, live[0].items[:ln]...)
-		live = live[1:]
+	// segs[0].live[:k] are pulled in; earlier segments are consumed.
+	segs, k := s.segs, 0
+	for len(m) < pullTo && len(segs) > 0 {
+		c := segs[0].live[k]
+		ln := freezeLive(c)
+		m = append(m, c.items[:ln]...)
+		if k++; k == len(segs[0].live) {
+			segs, k = segs[1:], 0
+		}
 	}
 	// In the hold steady state the merge set is dominated by the
 	// already-sorted survivor run, so sort only the unordered tail and
@@ -1094,20 +1152,35 @@ func (q *Queue[T]) rebuild(w *worker[T], s *spine[T]) {
 	// Spill the overflow in equal-sized runs of at least half a chunk
 	// (never a 512,512,57-style remainder: a sub-half spill chunk fills
 	// and splits almost immediately).
+	//
+	// Path copy: the spill chunks join what is left of the partially
+	// pulled-in front segment in one new front segment (halved if that
+	// overflows it); every later segment is shared with s.
 	rest := m[nh:]
-	nspill := max(1, len(rest)/max(1, cap_/2))
-	newLive := make([]*chunk[T], 0, nspill+len(live))
-	mins2 := make([]uint64, 0, cap(newLive))
-	for n := nspill; len(rest) > 0; n-- {
-		r := (len(rest) + n - 1) / n
-		newLive = append(newLive, w.prefill(rest[0].P, rest[:r]))
-		mins2 = append(mins2, rest[0].P)
-		rest = rest[r:]
+	if len(rest) > 0 || k > 0 {
+		var tail []*chunk[T]
+		var tailMins []uint64
+		if len(segs) > 0 {
+			tail, tailMins = segs[0].live[k:], segs[0].mins[k:]
+			segs = segs[1:]
+		}
+		nspill := max(1, len(rest)/max(1, cap_/2))
+		live := make([]*chunk[T], 0, nspill+len(tail))
+		mins := make([]uint64, 0, cap(live))
+		for n := nspill; len(rest) > 0; n-- {
+			r := (len(rest) + n - 1) / n
+			live = append(live, w.prefill(rest[0].P, rest[:r]))
+			mins = append(mins, rest[0].P)
+			rest = rest[r:]
+		}
+		live = append(live, tail...)
+		mins = append(mins, tailMins...)
+		w.appendSegs(live, mins)
 	}
-	newLive = append(newLive, live...)
-	mins2 = append(mins2, s.mins[len(s.mins)-len(live):]...)
+	w.segs = append(w.segs, segs...)
+	w.tops = append(w.tops, s.tops[len(s.tops)-len(segs):]...)
 
-	s2 := &spine[T]{head: head2, buf: w.getChunk(), live: newLive, mins: mins2}
+	s2 := w.newSpine(head2, w.getChunk())
 	if q.root.CompareAndSwap(s, s2) {
 		w.commitBuilt()
 		if bn+len(ex) > 0 {
@@ -1161,16 +1234,19 @@ func (w *worker[T]) mergeRuns(m []pq.Item[T], k int) []pq.Item[T] {
 	return out
 }
 
-// split replaces the frozen (or about-to-freeze) live chunk s.live[k]
-// with two halves around its median — or a single thawed copy when it
-// holds fewer than two entries. Like rebuild, any thread can help and
-// one root CAS wins. The head and its exchange entries are untouched:
-// a split never changes live[0].min, so "below head" stays below head.
-func (q *Queue[T]) split(w *worker[T], s *spine[T], k int) {
+// split replaces the frozen (or about-to-freeze) live chunk
+// s.segs[si].live[k] with two halves around its median — or a single
+// thawed copy when it holds fewer than two entries. Like rebuild, any
+// thread can help and one root CAS wins. The head and its exchange
+// entries are untouched: a split never changes the first chunk's min,
+// so "below head" stays below head. Only segment si is copied (and
+// halved once it exceeds 2·F chunks); every other segment is shared.
+func (q *Queue[T]) split(w *worker[T], s *spine[T], si, k int) {
 	if q.root.Load() != s {
 		return
 	}
-	c := s.live[k]
+	seg := s.segs[si]
+	c := seg.live[k]
 	n := freezeLive(c)
 	m := w.merge[:0]
 	m = append(m, c.items[:n]...)
@@ -1186,18 +1262,24 @@ func (q *Queue[T]) split(w *worker[T], s *spine[T], k int) {
 		mid := partitionMid(m)
 		repl = []*chunk[T]{w.prefill(c.min, m[:mid]), w.prefill(m[mid].P, m[mid:])}
 	}
-	newLive := make([]*chunk[T], 0, len(s.live)+1)
-	newLive = append(newLive, s.live[:k]...)
-	newLive = append(newLive, repl...)
-	newLive = append(newLive, s.live[k+1:]...)
-	mins2 := make([]uint64, 0, len(s.mins)+1)
-	mins2 = append(mins2, s.mins[:k]...)
+	live := make([]*chunk[T], 0, len(seg.live)+1)
+	live = append(live, seg.live[:k]...)
+	live = append(live, repl...)
+	live = append(live, seg.live[k+1:]...)
+	mins := make([]uint64, 0, cap(live))
+	mins = append(mins, seg.mins[:k]...)
 	for _, rc := range repl {
-		mins2 = append(mins2, rc.min)
+		mins = append(mins, rc.min)
 	}
-	mins2 = append(mins2, s.mins[k+1:]...)
+	mins = append(mins, seg.mins[k+1:]...)
 
-	s2 := &spine[T]{head: s.head, buf: s.buf, live: newLive, mins: mins2}
+	w.segs = append(w.segs, s.segs[:si]...)
+	w.tops = append(w.tops, s.tops[:si]...)
+	w.appendSegs(live, mins)
+	w.segs = append(w.segs, s.segs[si+1:]...)
+	w.tops = append(w.tops, s.tops[si+1:]...)
+
+	s2 := w.newSpine(s.head, s.buf)
 	if q.root.CompareAndSwap(s, s2) {
 		w.commitBuilt()
 	} else {
@@ -1206,6 +1288,45 @@ func (q *Queue[T]) split(w *worker[T], s *spine[T], k int) {
 	}
 	clear(m)
 	w.merge = m[:0]
+}
+
+// appendSegs appends the chunk run live (mins its parallel min array,
+// both fresh and owned by the caller) to the worker's top-level scratch
+// as ceil(len/2F) near-equal segments: a run that outgrew one segment
+// is halved, and no segment ever exceeds 2·F chunks or is empty.
+func (w *worker[T]) appendSegs(live []*chunk[T], mins []uint64) {
+	nseg := (len(live) + 2*segFanout - 1) / (2 * segFanout)
+	for n := nseg; n > 0; n-- {
+		r := (len(live) + n - 1) / n
+		seg := &segment[T]{live: live[:r:r], mins: mins[:r:r]}
+		if nseg > 1 {
+			// Pieces of one run must not share its pointer array: a
+			// segment would keep its siblings' chunks reachable after
+			// they are consumed, and with them popped payloads.
+			seg.live = slices.Clone(seg.live)
+		}
+		w.segs = append(w.segs, seg)
+		w.tops = append(w.tops, mins[0])
+		live, mins = live[r:], mins[r:]
+	}
+}
+
+// newSpine builds a candidate spine from the worker's top-level scratch
+// (w.segs, w.tops) and resets the scratch, clearing its segment
+// references so a worker never pins chunks a later rebuild consumes.
+func (w *worker[T]) newSpine(head, buf *chunk[T]) *spine[T] {
+	s := &spine[T]{head: head, buf: buf}
+	switch len(w.segs) {
+	case 0:
+	case 1:
+		s.one[0], s.oneTop[0] = w.segs[0], w.tops[0]
+		s.segs, s.tops = s.one[:], s.oneTop[:]
+	default:
+		s.segs, s.tops = slices.Clone(w.segs), slices.Clone(w.tops)
+	}
+	clear(w.segs)
+	w.segs, w.tops = w.segs[:0], w.tops[:0]
+	return s
 }
 
 // partitionMid reorders m (len >= 2) so that every element of m[:mid]

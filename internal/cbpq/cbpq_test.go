@@ -9,29 +9,76 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/pq"
 	"repro/internal/sched"
 )
+
+// checkSpine walks q's current spine — the caller must hold the queue
+// quiescent — and fails t on any broken segment invariant: every
+// segment is non-empty and holds at most 2·F chunks, mins ascend within
+// and across segments, each top-level min equals its segment's first
+// min, and each chunk's min matches its mins entry. It returns the
+// segment count.
+func checkSpine[T any](t testing.TB, q *Queue[T]) int {
+	t.Helper()
+	s := q.root.Load()
+	if len(s.tops) != len(s.segs) {
+		t.Fatalf("spine: %d top-level mins for %d segments", len(s.tops), len(s.segs))
+	}
+	prev := uint64(0)
+	for si, seg := range s.segs {
+		if len(seg.live) == 0 || len(seg.live) > 2*segFanout {
+			t.Fatalf("spine: segment %d holds %d chunks, want 1..%d", si, len(seg.live), 2*segFanout)
+		}
+		if len(seg.mins) != len(seg.live) {
+			t.Fatalf("spine: segment %d has %d mins for %d chunks", si, len(seg.mins), len(seg.live))
+		}
+		if s.tops[si] != seg.mins[0] {
+			t.Fatalf("spine: top-level min %d of segment %d != its first min %d", s.tops[si], si, seg.mins[0])
+		}
+		for k, c := range seg.live {
+			if c.min != seg.mins[k] {
+				t.Fatalf("spine: chunk %d/%d has min %d, its entry says %d", si, k, c.min, seg.mins[k])
+			}
+			if c.min < prev {
+				t.Fatalf("spine: chunk %d/%d min %d below its predecessor's %d", si, k, c.min, prev)
+			}
+			prev = c.min
+		}
+	}
+	return len(s.segs)
+}
 
 // TestSequentialExact drives a single worker through a random push/pop
 // mix against a reference model: every pop must return the exact
 // minimum of the live set, for both the default and a tiny chunk
-// capacity (the latter forces constant splits and rebuilds).
+// capacity (the latter forces constant splits and rebuilds). The spine
+// walker runs after every step; the wide-key case grows the spine past
+// three segments, so splits and rebuilds cross segment boundaries.
 func TestSequentialExact(t *testing.T) {
-	for _, cfg := range []Config{
-		{Workers: 1},
-		{Workers: 1, ChunkCap: 4},
-		{Workers: 1, ChunkCap: 8},
-		{Workers: 1, DisableElimination: true},
-		{Workers: 1, ChunkCap: 8, DisableElimination: true},
+	for _, tc := range []struct {
+		cfg     Config
+		keys    int
+		minSegs int
+	}{
+		{Config{Workers: 1}, 1000, 0},
+		{Config{Workers: 1, ChunkCap: 4}, 1000, 0},
+		{Config{Workers: 1, ChunkCap: 8}, 1000, 0},
+		{Config{Workers: 1, DisableElimination: true}, 1000, 0},
+		{Config{Workers: 1, ChunkCap: 8, DisableElimination: true}, 1000, 0},
+		{Config{Workers: 1, ChunkCap: 8}, 1 << 20, 3},
 	} {
+		cfg := tc.cfg
 		cap_ := cfg.ChunkCap
 		q := New[int](cfg)
 		w := q.Worker(0)
 		rng := rand.New(rand.NewSource(42))
 		var model []uint64
+		maxSegs := 0
 		for op := 0; op < 20000; op++ {
+			maxSegs = max(maxSegs, checkSpine(t, q))
 			if len(model) == 0 || rng.Intn(3) != 0 {
-				p := uint64(rng.Intn(1000))
+				p := uint64(rng.Intn(tc.keys))
 				w.Push(p, int(p))
 				model = append(model, p)
 			} else {
@@ -60,52 +107,236 @@ func TestSequentialExact(t *testing.T) {
 			if _, _, ok := w.Pop(); !ok {
 				t.Fatalf("cap=%d: queue drained before the model", cap_)
 			}
+			checkSpine(t, q)
 		}
 		if _, _, ok := w.Pop(); ok {
 			t.Fatalf("cap=%d: queue still non-empty after the model drained", cap_)
+		}
+		if maxSegs < tc.minSegs {
+			t.Fatalf("cap=%d keys=%d: spine peaked at %d segments, want >= %d", cap_, tc.keys, maxSegs, tc.minSegs)
 		}
 	}
 }
 
 // TestBatchExact checks that PushN batches pop back in exact global
-// order via PopN, across chunk boundaries and with duplicates.
+// order via PopN, across chunk boundaries and with duplicates, with the
+// spine walker run after every batch. The wide-key case spans at least
+// three segments.
 func TestBatchExact(t *testing.T) {
-	q := New[int](Config{Workers: 1, ChunkCap: 8})
-	w := q.Worker(0)
-	rng := rand.New(rand.NewSource(7))
-	const n = 5000
-	ps := make([]uint64, n)
-	vs := make([]int, n)
-	for i := range ps {
-		ps[i] = uint64(rng.Intn(300))
-		vs[i] = i
-	}
-	w.PushN(ps[:n/2], vs[:n/2])
-	w.PushN(ps[n/2:], vs[n/2:])
+	for _, tc := range []struct {
+		n, keys, minSegs int
+	}{
+		{5000, 300, 0},
+		{12000, 1 << 20, 3},
+	} {
+		q := New[int](Config{Workers: 1, ChunkCap: 8})
+		w := q.Worker(0)
+		rng := rand.New(rand.NewSource(7))
+		n := tc.n
+		ps := make([]uint64, n)
+		vs := make([]int, n)
+		for i := range ps {
+			ps[i] = uint64(rng.Intn(tc.keys))
+			vs[i] = i
+		}
+		w.PushN(ps[:n/2], vs[:n/2])
+		checkSpine(t, q)
+		w.PushN(ps[n/2:], vs[n/2:])
+		if segs := checkSpine(t, q); segs < tc.minSegs {
+			t.Fatalf("keys=%d: %d items span %d segments, want >= %d", tc.keys, n, segs, tc.minSegs)
+		}
 
-	var got []uint64
-	dst := make([]sched.Task[int], 64)
-	for {
-		k := w.PopN(dst)
-		if k == 0 {
-			break
+		var got []uint64
+		dst := make([]sched.Task[int], 64)
+		for {
+			k := w.PopN(dst)
+			checkSpine(t, q)
+			if k == 0 {
+				break
+			}
+			for _, it := range dst[:k] {
+				got = append(got, it.P)
+			}
 		}
-		for _, it := range dst[:k] {
-			got = append(got, it.P)
+		if len(got) != n {
+			t.Fatalf("keys=%d: popped %d of %d", tc.keys, len(got), n)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
+				t.Fatalf("keys=%d: PopN out of order at %d: %d after %d", tc.keys, i, got[i], got[i-1])
+			}
+		}
+		st := q.Stats()
+		if st.Pushes != uint64(n) || st.Pops != uint64(n) {
+			t.Fatalf("keys=%d: stats: pushes=%d pops=%d, want %d each", tc.keys, st.Pushes, st.Pops, n)
 		}
 	}
-	if len(got) != n {
-		t.Fatalf("popped %d of %d", len(got), n)
+}
+
+// installSpine replaces q's spine with a hand-built one: a sorted head
+// holding head, an empty buf, and one segment per entry of segs, each
+// chunk prefilled with its priorities (the first is the chunk's min).
+// It lets the segment-boundary tests set up exact shapes that random
+// workloads reach only by chance.
+func installSpine(q *Queue[uint64], head []uint64, segs [][][]uint64) {
+	w := &q.workers[0]
+	h := w.getHead()
+	for i, p := range head {
+		h.items[i].P, h.items[i].V = p, p
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("PopN out of order at %d: %d after %d", i, got[i], got[i-1])
+	h.n = len(head)
+	for _, seg := range segs {
+		var live []*chunk[uint64]
+		var mins []uint64
+		for _, ps := range seg {
+			items := make([]pq.Item[uint64], len(ps))
+			for i, p := range ps {
+				items[i] = pq.Item[uint64]{P: p, V: p}
+			}
+			live = append(live, w.prefill(ps[0], items))
+			mins = append(mins, ps[0])
 		}
+		w.segs = append(w.segs, &segment[uint64]{live: live, mins: mins})
+		w.tops = append(w.tops, mins[0])
 	}
-	st := q.Stats()
-	if st.Pushes != n || st.Pops != n {
-		t.Fatalf("stats: pushes=%d pops=%d, want %d each", st.Pushes, st.Pops, n)
+	q.root.Store(w.newSpine(h, w.getChunk()))
+	w.commitBuilt()
+}
+
+// drainExact pops q empty through worker 0, walking the spine after
+// every pop, and fails unless the pops return exactly want (ascending).
+func drainExact(t *testing.T, q *Queue[uint64], want []uint64) {
+	t.Helper()
+	w := q.Worker(0)
+	for i, p := range want {
+		got, v, ok := w.Pop()
+		if !ok || got != p || v != p {
+			t.Fatalf("pop %d = (%d, %d, %v), want priority %d", i, got, v, ok, p)
+		}
+		checkSpine(t, q)
 	}
+	if p, _, ok := w.Pop(); ok {
+		t.Fatalf("queue still holds %d after the expected drain", p)
+	}
+}
+
+// TestRebuildPullInStraddlesSegments: the front segment holds a single
+// two-item chunk, so the first rebuild's pull-in (which stops only at
+// the head's fill target) consumes that whole segment and continues
+// into the next one, leaving a copied remainder as the new front
+// segment while the third segment stays shared.
+func TestRebuildPullInStraddlesSegments(t *testing.T) {
+	q := New[uint64](Config{Workers: 1, ChunkCap: 8})
+	var want []uint64
+	seg := func(base uint64, chunks, per int) [][]uint64 {
+		var out [][]uint64
+		for c := 0; c < chunks; c++ {
+			var ps []uint64
+			for i := 0; i < per; i++ {
+				ps = append(ps, base+uint64(c*per+i))
+			}
+			want = append(want, ps...)
+			out = append(out, ps)
+		}
+		return out
+	}
+	segs := [][][]uint64{seg(100, 1, 2), seg(200, 5, 3), seg(400, 4, 6)}
+	installSpine(q, nil, segs)
+	if got := checkSpine(t, q); got != 3 {
+		t.Fatalf("installed spine has %d segments, want 3", got)
+	}
+	third := q.root.Load().segs[2].live
+	// One pop drives exactly one rebuild from the empty head.
+	if p, _, ok := q.Worker(0).Pop(); !ok || p != want[0] {
+		t.Fatalf("first pop = (%d, %v), want %d", p, ok, want[0])
+	}
+	s := q.root.Load()
+	if len(s.segs) != 2 {
+		t.Fatalf("after the straddling pull-in: %d segments, want 2", len(s.segs))
+	}
+	if front := s.segs[0].mins; !slices.Equal(front, []uint64{206, 209, 212}) {
+		t.Fatalf("after the straddling pull-in: front segment mins %v, want [206 209 212]", front)
+	}
+	if &s.segs[1].live[0] != &third[0] {
+		t.Fatal("rebuild copied a segment its pull-in never touched")
+	}
+	checkSpine(t, q)
+	drainExact(t, q, want[1:])
+}
+
+// TestSplitOverflowsSegment: the middle of three segments is full (2·F
+// chunks), so splitting one of its chunks overflows it; the split must
+// halve it into two segments and share the outer two untouched.
+func TestSplitOverflowsSegment(t *testing.T) {
+	q := New[uint64](Config{Workers: 1, ChunkCap: 8})
+	var want []uint64
+	chunkAt := func(base uint64) []uint64 {
+		ps := make([]uint64, 8)
+		for i := range ps {
+			ps[i] = base + uint64(2*i)
+		}
+		want = append(want, ps...)
+		return ps
+	}
+	var segs [][][]uint64
+	for si, n := range []int{3, 2 * segFanout, 3} {
+		var seg [][]uint64
+		for c := 0; c < n; c++ {
+			seg = append(seg, chunkAt(uint64(si*1e6+c*100)))
+		}
+		segs = append(segs, seg)
+	}
+	installSpine(q, nil, segs)
+	old := q.root.Load()
+	// Full chunk 0 of the middle segment (priorities 1e6, 1e6+2, ...):
+	// an odd priority inside its range forces the split.
+	p := uint64(1e6 + 1)
+	q.Worker(0).Push(p, p)
+	want = append(want, p)
+	s := q.root.Load()
+	if got := checkSpine(t, q); got != 4 {
+		t.Fatalf("after the overflowing split: %d segments, want 4", got)
+	}
+	if n0, n1 := len(s.segs[1].live), len(s.segs[2].live); n0+n1 != 2*segFanout+1 || n0 < segFanout || n1 < segFanout {
+		t.Fatalf("overflowed segment halved into %d + %d chunks, want near-equal halves of %d", n0, n1, 2*segFanout+1)
+	}
+	if &s.segs[0].live[0] != &old.segs[0].live[0] || &s.segs[3].live[0] != &old.segs[2].live[0] {
+		t.Fatal("split copied a segment it did not change")
+	}
+	slices.Sort(want)
+	drainExact(t, q, want)
+}
+
+// TestRebuildSpillOverflowsSegment: a full head plus a full buf spill
+// several chunks into a front segment that already holds 2·F chunks;
+// the rebuild must halve the overflowing front segment.
+func TestRebuildSpillOverflowsSegment(t *testing.T) {
+	q := New[uint64](Config{Workers: 1, ChunkCap: 8})
+	w := q.Worker(0)
+	var head, want []uint64
+	for i := 0; i < q.headCap+q.cfg.ChunkCap; i++ {
+		head = append(head, uint64(1000+i))
+	}
+	want = append(want, head...)
+	var seg [][]uint64
+	for c := 0; c < 2*segFanout; c++ {
+		ps := []uint64{uint64(1e6 + c*10), uint64(1e6 + c*10 + 1)}
+		want = append(want, ps...)
+		seg = append(seg, ps)
+	}
+	installSpine(q, head, [][][]uint64{seg})
+	// Below-head pushes fill the exchange, then buf; the next one finds
+	// both full and drives the combining rebuild.
+	for i := 0; i <= len(q.exg)+q.cfg.ChunkCap; i++ {
+		p := uint64(i)
+		w.Push(p, p)
+		want = append(want, p)
+	}
+	if got := checkSpine(t, q); got != 2 {
+		t.Fatalf("after the spilling rebuild: %d segments, want the overflowed front halved into 2", got)
+	}
+	slices.Sort(want)
+	drainExact(t, q, want)
 }
 
 // TestEmptyAndEdgeBatches covers the empty queue and the nil-batch
@@ -245,8 +476,9 @@ type popRec struct {
 // cases: a published exchange entry is linearized queue content, so an
 // eliminating take is just a pop with its own interval, and an entry
 // parked across another pop's whole interval is exactly the
-// "continuously present" witness the suffix-min scan looks for.
-func exactnessRun(t *testing.T, poppers, prefill, antagonists, perAntagonist, chunkCap int, seed int64) {
+// "continuously present" witness the suffix-min scan looks for. It
+// returns the number of spine segments the prefill spans.
+func exactnessRun(t *testing.T, poppers, prefill, antagonists, perAntagonist, chunkCap int, seed int64) int {
 	t.Helper()
 	q := New[uint64](Config{Workers: poppers + antagonists + 1, ChunkCap: chunkCap})
 	w0 := q.Worker(0)
@@ -254,6 +486,7 @@ func exactnessRun(t *testing.T, poppers, prefill, antagonists, perAntagonist, ch
 	for i := 0; i < prefill; i++ {
 		w0.Push(loPrefill+uint64(rng.Intn(1<<20)), uint64(i))
 	}
+	segs := checkSpine(t, q)
 
 	var clock atomic.Uint64
 	recs := make([][]popRec, poppers+antagonists)
@@ -369,18 +602,25 @@ func exactnessRun(t *testing.T, poppers, prefill, antagonists, perAntagonist, ch
 	if violations > 0 {
 		t.Fatalf("%d displaced pops of %d prefilled pops — concurrent exactness (rank bound 0) violated", violations, len(xs))
 	}
+	checkSpine(t, q)
+	return segs
 }
 
 // TestConcurrentExactness runs the timestamped displacement check at a
 // size the main test job can afford; the stress suite soaks the same
-// checker at elevated iterations (see stress_test.go).
+// checker at elevated iterations (see stress_test.go). At ChunkCap 8
+// the prefill spans at least three spine segments, so concurrent splits
+// and rebuilds race across segment boundaries.
 func TestConcurrentExactness(t *testing.T) {
 	prefill, per := 6000, 3000
 	if testing.Short() {
-		prefill, per = 1200, 600
+		prefill, per = 2400, 600
 	}
 	for _, cap_ := range []int{8, 64} {
-		exactnessRun(t, 4, prefill, 2, per, cap_, int64(cap_)*31+1)
+		segs := exactnessRun(t, 4, prefill, 2, per, cap_, int64(cap_)*31+1)
+		if cap_ == 8 && segs < 3 {
+			t.Fatalf("cap=8: prefill of %d spans %d segments, want >= 3", prefill, segs)
+		}
 	}
 }
 
@@ -417,6 +657,67 @@ func TestRetention(t *testing.T) {
 	}
 	if got != n {
 		t.Fatalf("only %d of %d popped payloads were released — the queue retains them", got, n)
+	}
+	runtime.KeepAlive(q)
+}
+
+// retained is a payload whose release the retention tests observe.
+type retained struct {
+	id int
+	_  [56]byte
+}
+
+// TestRetentionAcrossSegments extends TestRetention to the segmented
+// spine. Pushes stop right after a split first overflows the single
+// segment and halves it, so the back half is untouched when pops then
+// consume the front half's chunks: every popped payload must be
+// collectable while the rest is still queued — no live segment may keep
+// a consumed chunk reachable.
+func TestRetentionAcrossSegments(t *testing.T) {
+	q := New[*retained](Config{Workers: 1, ChunkCap: 8})
+	w := q.Worker(0)
+	rng := rand.New(rand.NewSource(3))
+	const maxPush = 1 << 14
+	released := make(chan int, maxPush)
+	pushed := 0
+	for ; len(q.root.Load().segs) < 2; pushed++ {
+		if pushed == maxPush {
+			t.Fatalf("%d pushes never overflowed the first segment", maxPush)
+		}
+		payload := &retained{id: pushed}
+		runtime.AddCleanup(payload, func(i int) { released <- i }, pushed)
+		w.Push(uint64(rng.Intn(1<<20)), payload)
+	}
+	front := 0
+	for _, c := range q.root.Load().segs[0].live {
+		front += int(c.ctl.Load() & ctlCount)
+	}
+	popped := make(map[int]bool, front)
+	for i := 0; i < front; i++ {
+		_, v, ok := w.Pop()
+		if !ok {
+			t.Fatalf("pop %d failed", i)
+		}
+		popped[v.id] = true
+	}
+	got := 0
+	for attempt := 0; attempt < 20 && got < front; attempt++ {
+		runtime.GC()
+		for {
+			select {
+			case id := <-released:
+				if !popped[id] {
+					t.Fatalf("payload %d released while still queued", id)
+				}
+				got++
+				continue
+			default:
+			}
+			break
+		}
+	}
+	if got != front {
+		t.Fatalf("only %d of %d popped payloads were released — a live segment retains consumed chunks", got, front)
 	}
 	runtime.KeepAlive(q)
 }

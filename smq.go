@@ -206,6 +206,13 @@
 // chunk, first-chunk rebuild for a drained head or a buffered
 // small-priority insert. Any thread can help complete a frozen
 // structure's replacement, which is what makes the design lock-free.
+// The structure the root points at is an immutable spine: the head,
+// the buffer, and the interior chunks in segments of at most 2·F
+// chunks under a flat array of segment minima. A replacement copies
+// only the segment it changes plus that top-level array and shares
+// every other segment, so on a queue of L chunks it costs O(F + L/F)
+// rather than O(L) — which is what keeps hub-sized batches on
+// power-law graphs, whose queues reach thousands of chunks, cheap.
 //
 // Bulk operations have chunk-granular meaning without a lock to batch
 // under: PopN claims n consecutive sorted slots with ONE CAS on the
