@@ -6,13 +6,24 @@
 // # OBIM
 //
 // Tasks are grouped into priority "bags": all tasks whose priority maps
-// to the same bucket (priority >> Delta) are unordered relative to each
-// other. A bag holds chunks — fixed-size task batches — on one stack per
-// virtual NUMA node. Workers fill a thread-local push chunk and publish
-// it to the bag for its bucket; they drain a thread-local pop chunk taken
-// from the lowest non-empty bag, preferring their own node's stack and
-// stealing chunks from other nodes otherwise. A global "minimum bucket"
-// hint steers workers toward the best available priority class.
+// to the same bucket (priority >> Delta) carry no priority order relative
+// to each other. A bag holds chunks — fixed-size task batches — in one
+// FIFO queue per virtual NUMA node. Workers fill a thread-local push chunk
+// and publish it at the tail of the bag's queue for their node; they
+// drain a thread-local pop chunk taken from the head of the lowest
+// non-empty bag, preferring their own node's queue and stealing chunks
+// from other nodes otherwise. A global "minimum bucket" hint steers
+// workers toward the best available priority class. Drained chunks go to
+// a small per-worker free list and are refilled by later pushes, so a
+// worker that drains about as many chunks as it fills allocates none.
+//
+// Bags drain FIFO — chunks in publish order, each chunk front to back —
+// as Galois's PerSocketChunkFIFO does under Lonestar's OBIM SSSP. The
+// order inside a bag is not a priority order, but it still matters: on a
+// low-diameter graph one coarse bucket can hold the whole frontier, and a
+// LIFO bag then walks it depth first. On RMAT scale 18 at Delta 10 the
+// largest SSSP distance is 513, so every task lands in one bag; LIFO
+// chunks did 18–29× the sequential relaxations there, FIFO about 1.6×.
 //
 // OBIM's weakness — the reason the paper's SMQ beats it on SSSP-like
 // workloads — is that Delta is workload-specific: too coarse wastes work
@@ -58,11 +69,16 @@ type Config struct {
 	// on the leader worker. Default 2048.
 	AdaptInterval int
 	// NUMANodes is the number of virtual sockets for per-node chunk
-	// stacks. Default 1.
+	// queues. Default 1.
 	NUMANodes int
 	// PruneBags bounds the global bag map: when the number of bags
-	// reaches this threshold, drained bags are retired and removed so
-	// long runs (or PMOD's shifting Δ) cannot leak memory. Default 4096.
+	// reaches the prune threshold, drained bags are retired and removed
+	// so long runs (or PMOD's shifting Δ) cannot leak memory. The
+	// threshold starts at PruneBags; a prune that leaves L non-empty bags
+	// resets it to max(PruneBags, 2L). The map thus never holds more than
+	// max(PruneBags, 2L) bags, and at least half the bags each prune
+	// scans were created since the last one, so pruning costs amortized
+	// O(1) bag scans per bag created. Default 4096.
 	PruneBags int
 	// Seed makes runs reproducible.
 	Seed uint64
@@ -127,54 +143,63 @@ func (c *Config) normalize() {
 }
 
 // chunk is a batch of same-bucket tasks. Chunks move between workers as a
-// unit; items are drained LIFO (order inside a bag is irrelevant).
+// unit and are drained front to back, so a single worker pops a bag's
+// tasks in push order (the package doc says why FIFO matters).
 type chunk[T any] struct {
 	items []pq.Item[T]
 	next  *chunk[T]
 }
 
-// chunkStack is one NUMA node's stack of a bag's chunks.
-type chunkStack[T any] struct {
-	mu  sync.Mutex
-	top *chunk[T]
-	_   [40]byte
+// chunkQueue is one NUMA node's FIFO queue of a bag's chunks: published
+// chunks join at the tail, refills take the head.
+type chunkQueue[T any] struct {
+	mu         sync.Mutex
+	head, tail *chunk[T]
+	_          [40]byte
 }
 
-func (s *chunkStack[T]) pop() *chunk[T] {
-	s.mu.Lock()
-	c := s.top
+func (q *chunkQueue[T]) pop() *chunk[T] {
+	q.mu.Lock()
+	c := q.head
 	if c != nil {
-		s.top = c.next
+		q.head = c.next
+		if q.head == nil {
+			q.tail = nil
+		}
 		c.next = nil
 	}
-	s.mu.Unlock()
+	q.mu.Unlock()
 	return c
 }
 
 // bag holds every task of one priority class.
 type bag[T any] struct {
 	key    uint64 // priority-range start: (p>>Δ)<<Δ at creation time
-	stacks []chunkStack[T]
+	queues []chunkQueue[T]
 	size   atomic.Int64 // approximate task count, drives PMOD
-	// retired is set (under all stack locks) when the pruner removes
+	// retired is set (under all queue locks) when the pruner removes
 	// the bag from the global map; no chunk may be added afterwards.
 	retired atomic.Bool
 }
 
-// pushChunk links c onto the bag's stack for node, unless the bag has
-// been retired — the check happens under the stack lock, which is the
-// same lock the pruner holds while retiring, so a chunk can never land
-// in a dropped bag.
+// pushChunk appends c to the tail of the bag's queue for node, unless
+// the bag has been retired — the check happens under the queue lock,
+// which is the same lock the pruner holds while retiring, so a chunk can
+// never land in a dropped bag.
 func (b *bag[T]) pushChunk(node int, c *chunk[T]) bool {
-	st := &b.stacks[node]
-	st.mu.Lock()
+	q := &b.queues[node]
+	q.mu.Lock()
 	if b.retired.Load() {
-		st.mu.Unlock()
+		q.mu.Unlock()
 		return false
 	}
-	c.next = st.top
-	st.top = c
-	st.mu.Unlock()
+	if q.tail == nil {
+		q.head = c
+	} else {
+		q.tail.next = c
+	}
+	q.tail = c
+	q.mu.Unlock()
 	return true
 }
 
@@ -183,9 +208,10 @@ type Sched[T any] struct {
 	cfg  Config
 	topo numa.Topology
 
-	mu   sync.RWMutex
-	bags map[uint64]*bag[T]
-	keys []uint64 // sorted bag keys
+	mu      sync.RWMutex
+	bags    map[uint64]*bag[T]
+	keys    []uint64 // sorted bag keys
+	pruneAt int      // bag count that triggers the next prune
 
 	minHint atomic.Uint64 // lower bound candidate for lowest non-empty key
 	delta   atomic.Uint32 // current Δ (mutable only when Adaptive)
@@ -208,6 +234,7 @@ func New[T any](cfg Config) *Sched[T] {
 		cfg:      cfg,
 		topo:     numa.New(cfg.Workers, cfg.NUMANodes, 1),
 		bags:     make(map[uint64]*bag[T]),
+		pruneAt:  cfg.PruneBags,
 		workers:  make([]worker[T], cfg.Workers),
 		counters: make([]sched.Counters, cfg.Workers),
 	}
@@ -267,10 +294,11 @@ func (s *Sched[T]) bagFor(key uint64) *bag[T] {
 	if b = s.bags[key]; b != nil {
 		return b
 	}
-	if len(s.bags) >= s.cfg.PruneBags {
+	if len(s.bags) >= s.pruneAt {
 		s.pruneLocked()
+		s.pruneAt = max(s.cfg.PruneBags, 2*len(s.bags))
 	}
-	b = &bag[T]{key: key, stacks: make([]chunkStack[T], s.topo.Nodes)}
+	b = &bag[T]{key: key, queues: make([]chunkQueue[T], s.topo.Nodes)}
 	s.bags[key] = b
 	i := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] >= key })
 	s.keys = append(s.keys, 0)
@@ -280,20 +308,20 @@ func (s *Sched[T]) bagFor(key uint64) *bag[T] {
 }
 
 // pruneLocked retires and removes every fully drained bag. Caller holds
-// the write lock. For each candidate, all of its stack locks are taken;
-// only if every stack is empty is the bag retired — pushChunk checks the
-// retired flag under the same stack lock, so no task can slip into a
+// the write lock. For each candidate, all of its queue locks are taken;
+// only if every queue is empty is the bag retired — pushChunk checks the
+// retired flag under the same queue lock, so no task can slip into a
 // retired bag.
 func (s *Sched[T]) pruneLocked() {
 	keep := s.keys[:0]
 	for _, key := range s.keys {
 		b := s.bags[key]
-		for i := range b.stacks {
-			b.stacks[i].mu.Lock()
+		for i := range b.queues {
+			b.queues[i].mu.Lock()
 		}
 		empty := true
-		for i := range b.stacks {
-			if b.stacks[i].top != nil {
+		for i := range b.queues {
+			if b.queues[i].head != nil {
 				empty = false
 				break
 			}
@@ -305,8 +333,8 @@ func (s *Sched[T]) pruneLocked() {
 		} else {
 			keep = append(keep, key)
 		}
-		for i := len(b.stacks) - 1; i >= 0; i-- {
-			b.stacks[i].mu.Unlock()
+		for i := len(b.queues) - 1; i >= 0; i-- {
+			b.queues[i].mu.Unlock()
 		}
 	}
 	// keep reuses s.keys' backing array; clear the tail for GC hygiene.
@@ -355,32 +383,63 @@ type worker[T any] struct {
 
 	bags map[uint64]*bag[T] // thread-local bag cache (mirrors the global map)
 
-	pushKey   uint64
-	pushChunk []pq.Item[T]
+	pushKey uint64
+	pushCur *chunk[T] // open push chunk: nil, or holding at least one task
 
-	popKey   uint64
-	popChunk []pq.Item[T]
+	popKey  uint64
+	popCur  *chunk[T] // chunk being drained: nil, or popNext < len(items)
+	popNext int
+
+	// free[:nfree] are drained chunks (slots zeroed, items empty) kept
+	// for reuse as push chunks.
+	free  [freeChunks]*chunk[T]
+	nfree int
 
 	popsSinceAdapt int
 }
+
+// freeChunks bounds a worker's free list. A worker that drains more
+// chunks than it fills drops the surplus for the GC.
+const freeChunks = 4
 
 // Push buffers the task in the worker's current push chunk, publishing
 // the chunk when the bucket changes or the chunk fills up.
 func (w *worker[T]) Push(p uint64, v T) {
 	w.c.Pushes++
 	key := w.s.bucketKey(p)
-	if len(w.pushChunk) > 0 && (key != w.pushKey || len(w.pushChunk) >= w.s.cfg.ChunkSize) {
+	if w.pushCur != nil && key != w.pushKey {
 		w.flushPush()
 	}
-	if len(w.pushChunk) == 0 {
+	if w.pushCur == nil {
+		w.pushCur = w.takeChunk()
 		w.pushKey = key
-		if w.pushChunk == nil {
-			w.pushChunk = make([]pq.Item[T], 0, w.s.cfg.ChunkSize)
-		}
 	}
-	w.pushChunk = append(w.pushChunk, pq.Item[T]{P: p, V: v})
-	if len(w.pushChunk) >= w.s.cfg.ChunkSize {
+	w.pushCur.items = append(w.pushCur.items, pq.Item[T]{P: p, V: v})
+	if len(w.pushCur.items) >= w.s.cfg.ChunkSize {
 		w.flushPush()
+	}
+}
+
+// takeChunk returns an empty chunk with room for ChunkSize tasks, from
+// the free list when it has one.
+func (w *worker[T]) takeChunk() *chunk[T] {
+	if w.nfree == 0 {
+		return &chunk[T]{items: make([]pq.Item[T], 0, w.s.cfg.ChunkSize)}
+	}
+	w.nfree--
+	c := w.free[w.nfree]
+	w.free[w.nfree] = nil
+	return c
+}
+
+// recycle puts a fully drained chunk on the free list, or drops it when
+// the list is full. Pop has already zeroed every slot, so a recycled
+// chunk keeps no popped payload reachable.
+func (w *worker[T]) recycle(c *chunk[T]) {
+	if w.nfree < freeChunks {
+		c.items = c.items[:0]
+		w.free[w.nfree] = c
+		w.nfree++
 	}
 }
 
@@ -414,41 +473,46 @@ func (w *worker[T]) cachedBag(key uint64) *bag[T] {
 // flushPush publishes the open push chunk to its bag, retrying through
 // the global map if the cached bag was retired under us.
 func (w *worker[T]) flushPush() {
-	if len(w.pushChunk) == 0 {
+	c := w.pushCur
+	if c == nil {
 		return
 	}
-	c := &chunk[T]{items: w.pushChunk}
+	w.pushCur = nil
+	// Once published, c belongs to whichever worker takes it.
+	n := int64(len(c.items))
 	for {
 		b := w.cachedBag(w.pushKey)
 		if b.pushChunk(w.node, c) {
-			b.size.Add(int64(len(c.items)))
+			b.size.Add(n)
 			break
 		}
 		// Retired between lookup and push: refresh and retry.
 		delete(w.bags, w.pushKey)
 	}
 	w.s.lowerHint(w.pushKey)
-	w.pushChunk = make([]pq.Item[T], 0, w.s.cfg.ChunkSize)
 }
 
-// Pop drains the worker's pop chunk, refilling it from the lowest
-// non-empty bag when exhausted.
+// Pop drains the worker's pop chunk front to back, zeroing each slot it
+// takes, and refills it from the lowest non-empty bag when exhausted.
 func (w *worker[T]) Pop() (uint64, T, bool) {
 	if w.s.cfg.Adaptive {
 		w.maybeAdapt()
 	}
 	for {
-		if n := len(w.popChunk); n > 0 {
-			it := w.popChunk[n-1]
-			var zero pq.Item[T]
-			w.popChunk[n-1] = zero
-			w.popChunk = w.popChunk[:n-1]
+		if c := w.popCur; c != nil {
+			it := c.items[w.popNext]
+			c.items[w.popNext] = pq.Item[T]{}
+			w.popNext++
+			if w.popNext == len(c.items) {
+				w.popCur = nil
+				w.recycle(c)
+			}
 			w.c.Pops++
 			return it.P, it.V, true
 		}
 		if !w.refill(false) {
 			// Our own unpublished push chunk may hold the only work.
-			if len(w.pushChunk) > 0 {
+			if w.pushCur != nil {
 				w.flushPush()
 				continue
 			}
@@ -478,15 +542,15 @@ func (w *worker[T]) refill(full bool) bool {
 	idx := sort.Search(len(keys), func(i int) bool { return keys[i] >= start })
 	for ; idx < len(keys); idx++ {
 		b := s.bags[keys[idx]]
-		c := b.stacks[w.node].pop()
+		c := b.queues[w.node].pop()
 		if c == nil {
-			// Steal a chunk from another node's stack.
-			for off := 1; off < len(b.stacks); off++ {
+			// Steal a chunk from another node's queue.
+			for off := 1; off < len(b.queues); off++ {
 				n := w.node + off
-				if n >= len(b.stacks) {
-					n -= len(b.stacks)
+				if n >= len(b.queues) {
+					n -= len(b.queues)
 				}
-				if c = b.stacks[n].pop(); c != nil {
+				if c = b.queues[n].pop(); c != nil {
 					w.c.Steals++
 					w.c.StolenTask += uint64(len(c.items))
 					w.c.Remote++
@@ -509,7 +573,7 @@ func (w *worker[T]) refill(full bool) bool {
 				sz = 0
 			}
 			s.sumBagSize.Add(uint64(sz) + uint64(len(c.items)))
-			w.popChunk = c.items
+			w.popCur, w.popNext = c, 0
 			s.raiseHint(hintBefore, key)
 			return true
 		}

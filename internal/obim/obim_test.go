@@ -1,6 +1,7 @@
 package obim
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -315,5 +316,86 @@ func TestHintRecoveryAfterRace(t *testing.T) {
 	}
 	if count != 60 {
 		t.Fatalf("drained %d, want 60", count)
+	}
+}
+
+func TestBagDrainsFIFO(t *testing.T) {
+	// One bucket, three full chunks and a partial one: a single worker
+	// must pop the tasks in push order, chunk by chunk and front to back.
+	t.Run("one_node", func(t *testing.T) {
+		s := New[int](Config{Workers: 1, Delta: 10, ChunkSize: 4})
+		w := s.Worker(0)
+		const n = 14
+		for v := 0; v < n; v++ {
+			w.Push(uint64(v%7), v)
+		}
+		for want := 0; want < n; want++ {
+			if _, v, ok := w.Pop(); !ok || v != want {
+				t.Fatalf("pop %d = (%d, %v), want %d", want, v, ok, want)
+			}
+		}
+	})
+	// Two nodes publish three chunks each, alternately, into one bucket.
+	// Worker 0 drains its own node's queue and then steals node 1's: each
+	// node's chunks must come out in the order they were published.
+	t.Run("two_nodes", func(t *testing.T) {
+		s := New[int](Config{Workers: 2, Delta: 10, ChunkSize: 4, NUMANodes: 2})
+		ws := []sched.Worker[int]{s.Worker(0), s.Worker(1)}
+		const chunks, size = 3, 4
+		for c := 0; c < chunks; c++ {
+			for node, w := range ws {
+				for i := 0; i < size; i++ {
+					w.Push(5, node*100+c*size+i)
+				}
+			}
+		}
+		next := []int{0, 100}
+		for i := 0; i < 2*chunks*size; i++ {
+			_, v, ok := ws[0].Pop()
+			if !ok {
+				t.Fatalf("drained early at %d", i)
+			}
+			node := v / 100
+			if v != next[node] {
+				t.Fatalf("pop %d = %d, want node %d's next task %d", i, v, node, next[node])
+			}
+			next[node]++
+		}
+		if _, v, ok := ws[0].Pop(); ok {
+			t.Fatalf("extra task %d after the drain", v)
+		}
+	})
+}
+
+func TestPoppedPayloadsReleased(t *testing.T) {
+	// Drained chunks are recycled as push chunks; a slot that kept its
+	// popped payload would keep it reachable through the free list.
+	// Detection as in internal/pq: a forced GC must run the cleanup of
+	// every popped payload while the scheduler stays alive.
+	s := New[*[64]byte](Config{Workers: 1, Delta: 4, ChunkSize: 8})
+	w := s.Worker(0)
+	const n = 100
+	released := make(chan int, n)
+	for i := 0; i < n; i++ {
+		payload := &[64]byte{byte(i)}
+		runtime.AddCleanup(payload, func(i int) { released <- i }, i)
+		w.Push(uint64(i), payload)
+	}
+	for i := 0; i < n; i++ {
+		if _, _, ok := w.Pop(); !ok {
+			t.Fatalf("Pop %d failed", i)
+		}
+	}
+	got := 0
+	for attempt := 0; attempt < 20 && got < n; attempt++ {
+		runtime.GC()
+		for len(released) > 0 {
+			<-released
+			got++
+		}
+	}
+	runtime.KeepAlive(s)
+	if got != n {
+		t.Fatalf("retained %d of %d popped payloads (recycled slots not zeroed)", n-got, n)
 	}
 }

@@ -412,8 +412,11 @@ func NewKLSM[T any](cfg KLSMConfig) Scheduler[T] {
 	return klsm.New[T](cfg)
 }
 
-// NewOBIM builds the Galois OBIM baseline (priority bags keyed by
-// priority >> delta, chunked per virtual node).
+// NewOBIM builds the Galois OBIM baseline: priority bags keyed by
+// priority >> delta, each a FIFO queue of task chunks per virtual node,
+// drained in publish order as Galois's PerSocketChunkFIFO does. Drained
+// chunks are recycled per worker, so steady-state pushes and pops do not
+// allocate.
 func NewOBIM[T any](cfg OBIMConfig) Scheduler[T] {
 	return obim.New[T](cfg)
 }
